@@ -206,14 +206,16 @@ impl HttpClient {
         stream.set_read_timeout(Some(self.timeout))?;
         stream.set_write_timeout(Some(self.timeout))?;
 
+        // head and body leave in one write: a second small write would wait
+        // on Nagle's algorithm for the server's delayed ACK of the first
         let mut req = format!("{method} {path} HTTP/1.1\r\nHost: ftclipd\r\nConnection: keep-alive\r\n");
         for (name, value) in headers {
             req.push_str(&format!("{name}: {value}\r\n"));
         }
-        req.push_str(&format!("Content-Length: {}\r\n", body.len()));
-        req.push_str("\r\n");
-        stream.write_all(req.as_bytes())?;
-        stream.write_all(body)?;
+        req.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
+        let mut wire = req.into_bytes();
+        wire.extend_from_slice(body);
+        stream.write_all(&wire)?;
 
         let reply = read_framed_reply(&mut stream)?;
         if reply.keeps_connection() {

@@ -596,9 +596,13 @@ impl Scheduler {
             JobStatus::Queued => {
                 st.queue.retain(|j| j.seq != job.seq);
                 self.metrics.queue_depth.store(st.queue.len(), Ordering::Relaxed);
-                self.finish(&mut st, job, JobStatus::Cancelled);
                 write_atomic(&self.job_dir(&job.fingerprint).join(CANCELLED_FILE), b"{}\n").ok();
-                job.push_event(vec![("event".to_string(), Value::String("cancelled".to_string()))]);
+                self.finish(
+                    &mut st,
+                    job,
+                    JobStatus::Cancelled,
+                    vec![("event".to_string(), Value::String("cancelled".to_string()))],
+                );
                 self.metrics.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
                 self.gc_locked(&st);
                 true
@@ -807,8 +811,12 @@ impl Scheduler {
         }
         let mut st = plock(&self.state);
         write_atomic(&self.job_dir(&job.fingerprint).join(CANCELLED_FILE), b"{}\n").ok();
-        self.finish(&mut st, job, JobStatus::Cancelled);
-        job.push_event(vec![("event".to_string(), Value::String("cancelled".to_string()))]);
+        self.finish(
+            &mut st,
+            job,
+            JobStatus::Cancelled,
+            vec![("event".to_string(), Value::String("cancelled".to_string()))],
+        );
         self.metrics.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
         self.gc_locked(&st);
     }
@@ -879,13 +887,17 @@ impl Scheduler {
             self.fail_job(job, &format!("completed but the result record could not be persisted: {error}"));
             return;
         }
-        self.finish(&mut st, job, JobStatus::Completed);
-        job.push_event(vec![
-            ("event".to_string(), Value::String("completed".to_string())),
-            ("etag".to_string(), Value::String(format!("\"{}\"", job.fingerprint))),
-            ("tables".to_string(), Value::Number(table_count as f64)),
-            ("failures".to_string(), Value::Number(outcome.failures.len() as f64)),
-        ]);
+        self.finish(
+            &mut st,
+            job,
+            JobStatus::Completed,
+            vec![
+                ("event".to_string(), Value::String("completed".to_string())),
+                ("etag".to_string(), Value::String(format!("\"{}\"", job.fingerprint))),
+                ("tables".to_string(), Value::Number(table_count as f64)),
+                ("failures".to_string(), Value::Number(outcome.failures.len() as f64)),
+            ],
+        );
         self.metrics.jobs_completed.fetch_add(1, Ordering::Relaxed);
         self.gc_locked(&st);
     }
@@ -896,16 +908,24 @@ impl Scheduler {
             write_atomic(&self.job_dir(&job.fingerprint).join(ERROR_FILE), rendered.as_bytes()).ok();
         }
         let mut st = plock(&self.state);
-        self.finish(&mut st, job, JobStatus::Failed);
-        job.push_event(vec![
-            ("event".to_string(), Value::String("failed".to_string())),
-            ("error".to_string(), Value::String(error.to_string())),
-        ]);
+        self.finish(
+            &mut st,
+            job,
+            JobStatus::Failed,
+            vec![
+                ("event".to_string(), Value::String("failed".to_string())),
+                ("error".to_string(), Value::String(error.to_string())),
+            ],
+        );
         self.metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
         self.gc_locked(&st);
     }
 
-    fn finish(&self, st: &mut SchedState, job: &Arc<Job>, status: JobStatus) {
+    /// Moves `job` to a terminal `status`. The terminal `event` is pushed
+    /// before the status flips, so a stream that sees the job terminal is
+    /// guaranteed to find that event in the log.
+    fn finish(&self, st: &mut SchedState, job: &Arc<Job>, status: JobStatus, event: Vec<(String, Value)>) {
+        job.push_event(event);
         job.set_status(status);
         st.live_by_fp.remove(&job.fingerprint);
     }

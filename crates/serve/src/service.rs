@@ -332,12 +332,15 @@ async fn stream_events(shared: &Arc<Shared>, stream: &TcpStream, job: &Arc<Job>)
     }
     let mut sent = 0usize;
     loop {
+        // read the end condition before the log: the terminal event is
+        // pushed before the status flips, so once the job reads terminal
+        // here the read below still returns that last line
+        let done = job.is_terminal()
+            || shared.scheduler.abandoning()
+            || (shared.scheduler.stopping() && job.status() != JobStatus::Running);
         let lines = job.events_from(sent);
         if lines.is_empty() {
-            if job.is_terminal()
-                || shared.scheduler.abandoning()
-                || (shared.scheduler.stopping() && job.status() != JobStatus::Running)
-            {
+            if done {
                 break;
             }
             yield_now().await;

@@ -358,3 +358,99 @@ fn admin_endpoints_stay_open_without_a_configured_token() {
     server.join();
     std::fs::remove_dir_all(dir).ok();
 }
+
+/// The `event` field of a stream's last line.
+fn last_event(client: &HttpClient, id: &str) -> String {
+    let events = client.get(&format!("/v1/jobs/{id}/events")).expect("events");
+    assert_eq!(events.status, 200);
+    let lines = events.ndjson();
+    lines
+        .last()
+        .and_then(|v| v.get("event"))
+        .and_then(Value::as_str)
+        .unwrap_or("<none>")
+        .to_string()
+}
+
+#[test]
+fn every_stream_ends_with_its_terminal_event() {
+    let dir = state_dir("terminal");
+    let (server, client) = server(&dir, 1, 1);
+    let submit_id = |path: &str, spec: &ExperimentSpec| {
+        let reply = client.post_json(path, &spec.to_json()).expect("submit");
+        assert_eq!(reply.status, 202, "{}", reply.text());
+        reply
+            .json()
+            .and_then(|v| v.get("id").and_then(Value::as_str).map(str::to_string))
+            .unwrap()
+    };
+    // one worker runs them in order: `done` completes; `late` waits past
+    // its deadline and fails; `stopped` is cancelled mid-run; `dropped`
+    // is cancelled while still queued
+    let jobs = [
+        (submit_id("/v1/specs", &tiny_spec("term-done")), "completed"),
+        (submit_id("/v1/specs?deadline_s=1", &slow_spec("term-late", 2000)), "failed"),
+        (submit_id("/v1/specs", &slow_spec("term-stopped", 300)), "cancelled"),
+        (submit_id("/v1/specs", &slow_spec("term-dropped", 300)), "cancelled"),
+    ];
+    // streams opened while each job is still live, several per job so some
+    // are mid-poll when the job finishes
+    let addr = server.addr();
+    let live: Vec<_> = jobs
+        .iter()
+        .flat_map(|(id, want)| (0..3).map(move |_| (id.clone(), *want)))
+        .map(|(id, want)| {
+            std::thread::spawn(move || {
+                let client = HttpClient::new(addr).with_timeout(Duration::from_secs(120));
+                (last_event(&client, &id), want, id)
+            })
+        })
+        .collect();
+    let dropped = &jobs[3].0;
+    assert_eq!(client.delete(&format!("/v1/jobs/{dropped}")).unwrap().status, 202);
+    let stopped = &jobs[2].0;
+    wait_for(&client, stopped, Duration::from_secs(120), |d| {
+        d.get("cells_done").and_then(Value::as_u64).unwrap_or(0) >= 1
+    });
+    assert_eq!(client.delete(&format!("/v1/jobs/{stopped}")).unwrap().status, 202);
+
+    for handle in live {
+        let (got, want, id) = handle.join().expect("stream thread");
+        assert_eq!(got, want, "live stream of {id}");
+    }
+    // and a stream opened after the fact replays the same ending
+    for (id, want) in &jobs {
+        assert_eq!(job_status(&job_detail(&client, id)), *want, "{id}");
+        assert_eq!(last_event(&client, id), *want, "replayed stream of {id}");
+    }
+    server.shutdown();
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn cache_hit_posts_answer_without_a_nagle_stall() {
+    // a request sent as two writes (head, then body) waits on the server's
+    // delayed ACK, about 40 ms per POST on Linux loopback
+    let dir = state_dir("hit-latency");
+    let (server, client) = server(&dir, 1, 1);
+    let spec = tiny_spec("hit-latency");
+    let (status, body) = submit(&client, &spec);
+    assert_eq!(status, 202);
+    let id = body.get("id").and_then(Value::as_str).unwrap().to_string();
+    wait_for(&client, &id, Duration::from_secs(120), |d| job_status(d) == "completed");
+
+    let json = spec.to_json();
+    let mut ms: Vec<f64> = (0..20)
+        .map(|_| {
+            let t0 = Instant::now();
+            let reply = client.post_json("/v1/specs", &json).expect("cache-hit POST");
+            assert_eq!(reply.status, 200, "{}", reply.text());
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    let median = (ms[9] + ms[10]) / 2.0;
+    assert!(median < 20.0, "median cache-hit POST {median:.1} ms: {ms:?}");
+    server.shutdown();
+    std::fs::remove_dir_all(dir).ok();
+}

@@ -28,10 +28,19 @@
 //! * Everything is `f32`: the paper injects bit flips into IEEE-754
 //!   single-precision weight words, so the memory representation of
 //!   parameters must be exactly `f32`.
-//! * `unsafe` is denied workspace-wide with one sanctioned exception: the
-//!   runtime-dispatched x86-64 SIMD bodies of the int8 kernels (see
-//!   `int8::simd`), which `core::arch` makes unavoidably unsafe. Every
-//!   other crate still forbids it outright.
+//! * The f32 GEMM core behind [`matmul`], [`matmul_tn`] and
+//!   [`gemm_accumulate`] is one portable kernel, compiled three times:
+//!   baseline x86-64 (SSE2), AVX2 and AVX-512F. The widest build the CPU
+//!   supports is picked at runtime; there is no knob. Every build is
+//!   bit-identical, because each output element keeps one ascending-`k`
+//!   chain of separate multiplies and adds, which Rust never contracts into
+//!   FMA. Campaign tables, goldens and store keys do not depend on the ISA.
+//! * `unsafe` is denied workspace-wide with two sanctioned islands, both in
+//!   this crate and both runtime-dispatched x86-64 code: the `core::arch`
+//!   bodies of the int8 kernels (`int8::simd`), and the calls into the
+//!   `#[target_feature]` builds of the f32 GEMM core (`matmul::simd`), each
+//!   right behind its feature check. Every other crate still forbids it
+//!   outright.
 //! * Threading uses `std::thread::scope`; no runtime dependency is needed.
 
 #![deny(unsafe_code)]

@@ -20,6 +20,15 @@
 //! therefore change scheduling only, never a single output bit; the
 //! `ftclip_store` campaign cache and the golden figure snapshots survive any
 //! kernel-tuning change that preserves this contract.
+//!
+//! **ISA dispatch.** On x86-64 the blocked core behind [`matmul_into`],
+//! [`matmul_tn`] and [`gemm_accumulate`] runs as an AVX-512F or AVX2 build
+//! when the CPU has one, chosen at runtime, and as the baseline build
+//! otherwise. The builds share one source and differ only in how many
+//! independent output elements a vector instruction holds, so the contract
+//! above holds per ISA: each element's multiplies and adds stay separate
+//! (Rust never contracts them into FMA) and in the same order. The FC
+//! kernel [`matmul_nt_into`] is not dispatched.
 
 use crate::par::par_row_bands;
 use crate::Tensor;
@@ -93,10 +102,136 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, c: &mut Tensor) {
 /// whole output rows, where the band's rows are `row_len` long and the
 /// micro-kernel reads `B` columns `b_col0 .. b_col0 + row_len`.
 ///
+/// Runs the widest build of [`band_kernel`] the CPU supports (see
+/// [`simd::Build`]); every build replays the same per-element chain, so the
+/// choice never changes an output bit.
+fn accumulate_band(
+    a: &[f32],
+    b: &[f32],
+    band: &mut [f32],
+    first_row: usize,
+    k: usize,
+    b_stride: usize,
+    row_len: usize,
+    b_col0: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(build) = simd::Build::widest() {
+        build.run(a, b, band, first_row, k, b_stride, row_len, b_col0);
+        return;
+    }
+    band_kernel(a, b, band, first_row, k, b_stride, row_len, b_col0);
+}
+
+/// Runtime-dispatched x86-64 builds of [`band_kernel`].
+///
+/// There is no hand-written SIMD here: each build is the portable kernel
+/// compiled with a wider target feature, so LLVM vectorizes the `j` loops
+/// 16 (AVX-512F) or 8 (AVX2) lanes wide instead of SSE2's 4. Lane width
+/// only regroups independent output elements; each element still sees one
+/// multiply and one add per non-zero coefficient, ascending in `k`. Rust
+/// never contracts a separate multiply and add into an FMA, so every build
+/// is bit-identical to the baseline one
+/// (`dispatched_builds_match_baseline_bitwise` pins this per build).
+///
+/// The calls into the `#[target_feature]` functions are the only `unsafe`
+/// outside the int8 kernels' island (`int8::simd`), each right behind its
+/// feature check.
+#[cfg(target_arch = "x86_64")]
+mod simd {
+    use super::band_kernel;
+
+    /// One ISA build of [`band_kernel`].
+    #[derive(Clone, Copy, Debug)]
+    pub(super) enum Build {
+        /// 16 `f32` lanes.
+        Avx512,
+        /// 8 `f32` lanes.
+        Avx2,
+    }
+
+    impl Build {
+        /// Every build, widest first.
+        pub(super) const ALL: [Build; 2] = [Build::Avx512, Build::Avx2];
+
+        /// The widest build this CPU supports; `None` means the caller must
+        /// run the baseline build.
+        pub(super) fn widest() -> Option<Build> {
+            Build::ALL.into_iter().find(|build| build.detected())
+        }
+
+        /// Whether this CPU has the build's target feature.
+        pub(super) fn detected(self) -> bool {
+            match self {
+                Build::Avx512 => is_x86_feature_detected!("avx512f"),
+                Build::Avx2 => is_x86_feature_detected!("avx2"),
+            }
+        }
+
+        /// Runs [`band_kernel`] as compiled for this build.
+        ///
+        /// # Panics
+        ///
+        /// Panics if the CPU lacks the build's target feature.
+        pub(super) fn run(
+            self,
+            a: &[f32],
+            b: &[f32],
+            band: &mut [f32],
+            first_row: usize,
+            k: usize,
+            b_stride: usize,
+            row_len: usize,
+            b_col0: usize,
+        ) {
+            assert!(self.detected(), "{self:?} build run on a CPU without its target feature");
+            match self {
+                // SAFETY: `detected()` just confirmed `avx512f` on this CPU.
+                #[allow(unsafe_code)]
+                Build::Avx512 => unsafe { band_avx512(a, b, band, first_row, k, b_stride, row_len, b_col0) },
+                // SAFETY: `detected()` just confirmed `avx2` on this CPU.
+                #[allow(unsafe_code)]
+                Build::Avx2 => unsafe { band_avx2(a, b, band, first_row, k, b_stride, row_len, b_col0) },
+            }
+        }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    fn band_avx512(
+        a: &[f32],
+        b: &[f32],
+        band: &mut [f32],
+        first_row: usize,
+        k: usize,
+        b_stride: usize,
+        row_len: usize,
+        b_col0: usize,
+    ) {
+        band_kernel(a, b, band, first_row, k, b_stride, row_len, b_col0);
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn band_avx2(
+        a: &[f32],
+        b: &[f32],
+        band: &mut [f32],
+        first_row: usize,
+        k: usize,
+        b_stride: usize,
+        row_len: usize,
+        b_col0: usize,
+    ) {
+        band_kernel(a, b, band, first_row, k, b_stride, row_len, b_col0);
+    }
+}
+
+/// The portable body of [`accumulate_band`], inlined into each ISA build.
+///
 /// Loop order is `j`-strip → `k`-panel → band row, so one L2-resident panel
 /// of `B` serves every row of the band before the next panel is streamed in.
 /// Per output element the accumulation order stays ascending-`k`.
-fn accumulate_band(
+#[inline(always)]
+fn band_kernel(
     a: &[f32],
     b: &[f32],
     band: &mut [f32],
@@ -160,6 +295,7 @@ fn accumulate_band(
 /// stored once per four multiply-adds; the four adds stay in program order,
 /// so vectorization happens across `j` lanes only and per-element bits are
 /// unchanged.
+#[inline(always)]
 fn micro_kernel(a_block: &[f32], b: &[f32], b_stride: usize, b_col0: usize, k0: usize, c_strip: &mut [f32]) {
     let mut dk = 0;
     while dk + 4 <= a_block.len() {
@@ -176,7 +312,7 @@ fn micro_kernel(a_block: &[f32], b: &[f32], b_stride: usize, b_col0: usize, k0: 
 /// One four-coefficient pass of the single-row kernel: the strip element is
 /// loaded and stored once per four multiply-adds when all four coefficients
 /// are non-zero, with per-coefficient axpy (zeros skipped) otherwise.
-#[inline]
+#[inline(always)]
 fn quad_strip(aq: [f32; 4], b: &[f32], b_stride: usize, base: usize, c_strip: &mut [f32]) {
     let width = c_strip.len();
     let [a0, a1, a2, a3] = aq;
@@ -212,6 +348,7 @@ fn quad_strip(aq: [f32; 4], b: &[f32], b_stride: usize, base: usize, c_strip: &m
 /// passes. Either way each output element only ever sees its own row's
 /// coefficients, ascending in `k` with zeros skipped — per-element bits are
 /// identical to the single-row kernel.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn micro_kernel_x4(
     a: [&[f32]; 4],
@@ -283,7 +420,7 @@ fn micro_kernel_x4(
 }
 
 /// `c_strip += a_v · b[base..]` for a single coefficient, skipping zeros.
-#[inline]
+#[inline(always)]
 fn axpy_strip(a_v: f32, b: &[f32], base: usize, c_strip: &mut [f32]) {
     if a_v == 0.0 {
         return;
@@ -661,6 +798,159 @@ mod tests {
                 accumulate_band(a.data(), b.data(), band, first_row, 39, 4400, 4400, 0);
             });
             assert_eq!(bits(&col), bits(&row), "C seeded with {seed}");
+        }
+    }
+
+    /// Every ISA build of the band kernel against the baseline build.
+    #[cfg(target_arch = "x86_64")]
+    mod builds {
+        use super::super::*;
+
+        /// Values a fault campaign puts in front of the kernel besides ordinary
+        /// weights: both zeros, subnormals, the huge magnitudes an exponent
+        /// bit-flip produces, ±inf and NaN.
+        const SPECIALS: [f32; 10] = [
+            0.0,
+            -0.0,
+            1e-40,
+            -3e-39,
+            f32::MIN_POSITIVE,
+            1.7e38,
+            -3.4e38,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+
+        /// Deterministic fill: ordinary nonzero values with roughly
+        /// `special_per_mille`‰ of them replaced by [`SPECIALS`].
+        fn fault_fill(len: usize, seed: u64, special_per_mille: u64) -> Vec<f32> {
+            let mut state = seed;
+            (0..len)
+                .map(|_| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    let x = state >> 33;
+                    if x % 1000 < special_per_mille {
+                        SPECIALS[(x / 1000) as usize % SPECIALS.len()]
+                    } else {
+                        let mag = 0.01 + (x / 1000 % 4000) as f32 / 1000.0;
+                        if x & 1 == 0 {
+                            mag
+                        } else {
+                            -mag
+                        }
+                    }
+                })
+                .collect()
+        }
+
+        /// Bit-identical, except that a NaN need only meet a NaN (its payload
+        /// is not part of the contract).
+        fn same_bits(got: &[f32], want: &[f32]) -> Result<(), String> {
+            for (idx, (g, w)) in got.iter().zip(want).enumerate() {
+                if g.to_bits() != w.to_bits() && !(g.is_nan() && w.is_nan()) {
+                    return Err(format!(
+                        "index {idx}: {g:e} ({:#010x}) vs {w:e} ({:#010x})",
+                        g.to_bits(),
+                        w.to_bits()
+                    ));
+                }
+            }
+            Ok(())
+        }
+
+        /// Runs `c += a · b` (`a: [m, k]`, `b: [k, n]`, `c: [m, n]`) through every
+        /// dispatched build this CPU supports and checks each against the
+        /// baseline build. Rows `1..` and columns `1..n - 1` also go through the
+        /// sub-window form the column-parallel path uses (`first_row`,
+        /// `b_col0` and `row_len < b_stride`).
+        fn check_builds(a: &[f32], b: &[f32], c: &[f32], k: usize, n: usize) -> Result<(), String> {
+            let m = c.len() / n;
+            let mut want = c.to_vec();
+            band_kernel(a, b, &mut want, 0, k, n, n, 0);
+            let window: Vec<f32> = if m > 1 && n > 2 {
+                (1..m).flat_map(|i| c[i * n + 1..i * n + n - 1].to_vec()).collect()
+            } else {
+                vec![]
+            };
+            let mut want_window = window.clone();
+            if !window.is_empty() {
+                band_kernel(a, b, &mut want_window, 1, k, n, n - 2, 1);
+            }
+            for build in simd::Build::ALL.into_iter().filter(|build| build.detected()) {
+                let mut got = c.to_vec();
+                build.run(a, b, &mut got, 0, k, n, n, 0);
+                same_bits(&got, &want).map_err(|e| format!("{build:?} [{m},{k}]x[{k},{n}]: {e}"))?;
+                if !window.is_empty() {
+                    let mut got = window.clone();
+                    build.run(a, b, &mut got, 1, k, n, n - 2, 1);
+                    same_bits(&got, &want_window)
+                        .map_err(|e| format!("{build:?} window [{m},{k}]x[{k},{n}]: {e}"))?;
+                }
+            }
+            Ok(())
+        }
+
+        #[test]
+        fn dispatched_builds_match_baseline_bitwise() {
+            // columns straddle 16, 8 and 4 lanes and the J_TILE strip; rows
+            // cover the single-row stragglers of the 4-row kernel; depths
+            // straddle the 4-coefficient unroll and the K_BLOCK panel
+            let cols = [1, 7, 15, 17, 63, 64, 65, J_TILE - 1, J_TILE, J_TILE + 1];
+            let rows_depths =
+                [(1, 1), (3, 5), (5, K_BLOCK - 1), (6, K_BLOCK), (9, K_BLOCK + 1), (4, 2 * K_BLOCK + 3)];
+            for n in cols {
+                for (m, k) in rows_depths {
+                    let seed = (m * 1000 + k * 10 + n) as u64;
+                    // no specials (the all-nonzero fast paths), a few, many
+                    for per_mille in [0, 20, 150] {
+                        let a = fault_fill(m * k, seed, per_mille);
+                        let b = fault_fill(k * n, seed + 1, per_mille);
+                        let c = fault_fill(m * n, seed + 2, per_mille);
+                        check_builds(&a, &b, &c, k, n).unwrap();
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn dispatched_builds_skip_zero_coefficients_over_non_finite_b() {
+            // every row's coefficient at k = 1 and k = 6 is ±0 and those B rows
+            // are all ±inf / NaN: a build that multiplied through would poison
+            // every output, a skipping one leaves them finite
+            let (m, k, n) = (7, 9, 70);
+            let mut a = fault_fill(m * k, 3, 0);
+            for i in 0..m {
+                a[i * k + 1] = 0.0;
+                a[i * k + 6] = -0.0;
+            }
+            let mut b = fault_fill(k * n, 4, 0);
+            for j in 0..n {
+                b[n + j] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][j % 3];
+                b[6 * n + j] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][j % 3];
+            }
+            let c = fault_fill(m * n, 5, 0);
+            check_builds(&a, &b, &c, k, n).unwrap();
+            let mut out = c.clone();
+            accumulate_band(&a, &b, &mut out, 0, k, n, n, 0);
+            assert!(out.iter().all(|v| v.is_finite()), "a zero coefficient multiplied a non-finite B");
+        }
+
+        proptest::proptest! {
+            #[test]
+            fn dispatched_builds_match_baseline_on_random_shapes(
+                m in 1usize..10,
+                k in 1usize..80,
+                n in 1usize..140,
+                seed in proptest::arbitrary::any::<u64>(),
+                per_mille in 0u64..200,
+            ) {
+                let a = fault_fill(m * k, seed, per_mille);
+                let b = fault_fill(k * n, seed ^ 0x9e37_79b9, per_mille);
+                let c = fault_fill(m * n, seed ^ 0x85eb_ca6b, per_mille);
+                let checked = check_builds(&a, &b, &c, k, n);
+                proptest::prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+            }
         }
     }
 
